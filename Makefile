@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet, build, the full test suite under the race detector, and
-# the seeded chaos suite.
+# pass: vet, build, the full test suite under the race detector, the
+# internal packages at GOMAXPROCS 1, 2 and 8, the seeded chaos suite,
+# and the end-to-end smokes.
 
 GO ?= go
 
@@ -26,9 +27,9 @@ OBS_THRESHOLD ?= 0.05
 OBS_BENCHTIME ?= 1s
 OBS_COUNT     ?= 4
 
-.PHONY: check vet build test race chaos bench benchdiff bench-capstore obs-smoke obs-overhead fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke fuzz
+.PHONY: check vet build test race cpu chaos bins bench benchdiff bench-capstore obs-smoke obs-overhead fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke fuzz
 
-check: vet build race chaos obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
+check: vet build race cpu chaos obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +42,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The internal packages at GOMAXPROCS 1, 2 and 8, so a test that leans
+# on the scheduler fails here rather than on some other host.
+cpu:
+	$(GO) test -count=1 -cpu 1,2,8 ./internal/...
 
 # Seeded fault-injection suite: retry completion under injected 5xx /
 # drop / anti-bot rates, byte-identical fault schedules across runs,
@@ -69,33 +75,35 @@ benchdiff:
 bench-capstore:
 	$(GO) test ./internal/capstore/ -run '^$$' -bench 'Query' -benchmem
 
+# Every binary the smokes spawn, built once into bin/. Each smoke is a
+# scenario of cmd/smoke run against these: `smoke -bin bin SCENARIO`.
+SMOKE_BINS = capd capring fleetd crawl obsd consentd analyzed analyze
+
+bins:
+	$(GO) build -o bin/ $(addprefix ./cmd/,$(SMOKE_BINS))
+
 # End-to-end telemetry smoke: boot a real capd with -metrics over a
 # fixture store, drive queries, and fail on unparseable /metrics
 # lines, missing spans in /debug/trace, or a /healthz without the
 # telemetry summary.
-obs-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) run ./cmd/obssmoke -capd bin/capd
+obs-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin obs
 
 # End-to-end fleet smoke: boot capd (-ingest -metrics), fleetd
 # (-metrics) and two crawl workers over a small fixture window, SIGKILL
 # one worker mid-run, and assert the fleet's store is byte-identical to
 # the single-process baseline, the ledger balances, and both /metrics
 # endpoints stay valid.
-fleet-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) run ./cmd/fleetsmoke -capd bin/capd -fleetd bin/fleetd -crawl bin/crawl
+fleet-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin fleet
 
 # End-to-end decision smoke: boot a real consentd with -metrics, drive
 # mixed traffic (NDJSON batches, single decisions, vendor filters)
 # through the load driver, re-check sampled batch answers against the
 # naive reference decoder, and fail on missing decision metrics or a
 # cold cache.
-decision-smoke:
-	$(GO) build -o bin/consentd ./cmd/consentd
-	$(GO) run ./cmd/decisionsmoke -consentd bin/consentd
+decision-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin decision
 
 # End-to-end replication smoke: three capd storage nodes behind a
 # capring proxy, fleetd + two crawl workers ingesting through the
@@ -103,12 +111,8 @@ decision-smoke:
 # the ring repairs the node to convergence, every node's owned
 # segments are byte-identical to the single-process baseline, and the
 # ring's /metrics stays valid with the repl_* families.
-replication-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/capring ./cmd/capring
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) run ./cmd/replsmoke -capd bin/capd -capring bin/capring -fleetd bin/fleetd -crawl bin/crawl
+replication-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin replication
 
 # End-to-end pack-engine smoke: boot capd with an aggressive paced
 # compactor, ingest under live compaction, SIGKILL mid-compaction,
@@ -116,9 +120,8 @@ replication-smoke:
 # the store (indexed open path on every shard) and assert the full
 # query sweep, logical streams, and manifests are byte-identical to a
 # never-compacted baseline.
-pack-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) run ./cmd/packsmoke -capd bin/capd
+pack-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin pack
 
 # End-to-end fleet-observability smoke: three capds + capring (all
 # -metrics), fleetd + two crawl workers pushing span exports to a real
@@ -127,13 +130,8 @@ pack-smoke:
 # trace stitched across fleetd→worker→capring→capd with zero orphans,
 # and that deliberately induced reorder-buffer sheds trip the shed-rate
 # burn alert.
-cluster-obs-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/capring ./cmd/capring
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) build -o bin/obsd ./cmd/obsd
-	$(GO) run ./cmd/clustersmoke -capd bin/capd -capring bin/capring -fleetd bin/fleetd -crawl bin/crawl -obsd bin/obsd
+cluster-obs-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin cluster-obs
 
 # End-to-end incremental-analytics smoke: boot capd (-ingest) and an
 # analyzed follower with a short checkpoint interval, stream a fixture
@@ -141,11 +139,8 @@ cluster-obs-smoke:
 # checkpoint and fold only the suffix), finish the stream, and assert
 # every served view is byte-identical to `analyze -store` batch mode
 # over the same store.
-analytics-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/analyzed ./cmd/analyzed
-	$(GO) build -o bin/analyze ./cmd/analyze
-	$(GO) run ./cmd/analyticssmoke -capd bin/capd -analyzed bin/analyzed -analyze bin/analyze
+analytics-smoke: bins
+	$(GO) run ./cmd/smoke -bin bin analytics
 
 # Telemetry overhead gate: the live recorder must stay within
 # OBS_THRESHOLD of the no-op recorder on both hot paths. Longer

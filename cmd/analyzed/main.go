@@ -29,15 +29,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/capstore"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -107,61 +104,39 @@ func main() {
 		fmt.Printf("analyzed: cold start (no checkpoint in %s), bootstrapping from store\n", *ckptDir)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("analyzed", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyzed:", err)
 		os.Exit(1)
 	}
-	outer := http.NewServeMux()
-	if *metrics {
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		fmt.Printf("analyzed: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
-	}
-	outer.Handle("/", analytics.NewHandler(analytics.HandlerConfig{
-		Engine:         engine,
-		Follower:       follower,
-		MaxInFlight:    *maxInFly,
-		RequestTimeout: *timeout,
-		Tracer:         tracer,
-	}, reg))
-
-	fmt.Printf("analyzed: serving %d views on %s\n", len(analytics.ViewNames()), ln.Addr())
+	d.Announce("analyzed: serving %d views", len(analytics.ViewNames()))
 	fmt.Printf("analyzed: endpoints /views /view/NAME /series/NAME /healthz; ≤%d in flight, %v/query; Ctrl-C shuts down gracefully.\n",
 		*maxInFly, *timeout)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, stopFollow := context.WithCancel(context.Background())
 	followDone := make(chan struct{})
 	go func() {
 		defer close(followDone)
 		follower.Run(ctx)
 	}()
-
-	srv := &http.Server{
-		Handler:           outer,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "analyzed:", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	handler := analytics.NewHandler(analytics.HandlerConfig{
+		Engine:         engine,
+		Follower:       follower,
+		MaxInFlight:    *maxInFly,
+		RequestTimeout: *timeout,
+		Tracer:         tracer,
+	}, reg)
+	err = d.Serve(handler, daemon.Options{
+		Registry: reg,
+		Tracer:   tracer,
 		// The follower writes a final checkpoint on its way out, so a
 		// clean restart resumes at exactly this cursor.
-		<-followDone
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "analyzed: shutdown:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("analyzed: drained and stopped at cursor %d (lag %d)\n",
-			engine.Cursor(), follower.Lag())
+		Drain: func() { stopFollow(); <-followDone },
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "analyzed:", err)
+		os.Exit(1)
 	}
+	fmt.Printf("analyzed: drained and stopped at cursor %d (lag %d)\n",
+		engine.Cursor(), follower.Lag())
 }

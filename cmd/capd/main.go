@@ -65,17 +65,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -144,13 +141,13 @@ func main() {
 			*compactBytes, *compactAge, *compactEvery, *compactPace)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("capd", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("capd: serving %d captures (%d segments, %d domains, %d request hosts indexed) on %s\n",
-		st.Records, len(st.Shards), st.IndexedDomains, st.IndexedHosts, ln.Addr())
+	d.Announce("capd: serving %d captures (%d segments, %d domains, %d request hosts indexed)",
+		st.Records, len(st.Shards), st.IndexedDomains, st.IndexedHosts)
 	fmt.Printf("capd: endpoints /query /count /stats /healthz; ≤%d in flight, %v/request; Ctrl-C shuts down gracefully.\n",
 		*maxInFly, *reqTimeout)
 
@@ -169,10 +166,19 @@ func main() {
 		// Service is the role, never a per-process identity, so span
 		// exports stay byte-identical across node counts.
 		tracer = obs.NewTracer(obs.TracerConfig{Service: "capd"})
+		tracer.RegisterMetrics(reg)
+		store.RegisterMetrics(reg)
+		store.SetTracer(tracer)
+		serveCfg.Registry = reg
+		serveCfg.Metrics = store.Metrics()
 	}
-	var ingester *capstore.Ingester
+	// Admin surfaces mount on an outer mux, beside /healthz and outside
+	// the limiter (the debug surface is mounted in front of it by
+	// daemon.Serve): compaction triggers and the fleet's writes must
+	// work exactly when the query path is saturated.
+	outer := http.NewServeMux()
 	if *ingest {
-		ingester, err = capstore.NewIngester(store, capstore.IngestConfig{
+		ingester, err := capstore.NewIngester(store, capstore.IngestConfig{
 			MaxPendingBatches: *maxPending,
 			Registry:          reg,
 			Tracer:            tracer,
@@ -184,30 +190,13 @@ func main() {
 		// /healthz reports the ingest commit cursor so operators can
 		// compare it against analyzed view lag in one probe.
 		serveCfg.Ingester = ingester
-	}
-	// Admin and debug surfaces mount on an outer mux, beside /healthz
-	// and outside the limiter: scrapes, profiles, and compaction
-	// triggers must work exactly when the query path is saturated.
-	outer := http.NewServeMux()
-	if *metrics {
-		tracer.RegisterMetrics(reg)
-		store.RegisterMetrics(reg)
-		store.SetTracer(tracer)
-		serveCfg.Registry = reg
-		serveCfg.Metrics = store.Metrics()
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		fmt.Printf("capd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
-	}
-	if ingester != nil {
 		// Ingest mounts outside the limiter and its 1 MiB body cap:
 		// the query path's shedding must not starve the fleet's
 		// storage backend, and batches are legitimately large. The
 		// ingester enforces its own body bound and reorder-buffer
 		// shedding instead.
 		outer.Handle("/ingest", ingester)
+		fmt.Printf("capd: remote ingest on POST /ingest (≤%d reorder batches buffered)\n", *maxPending)
 	}
 	outer.HandleFunc("/compact", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -226,36 +215,11 @@ func main() {
 			packed, cst.Packs, cst.Compactions)
 	})
 	outer.Handle("/", capstore.NewResilientHandler(store, serveCfg))
-	var handler http.Handler = outer
-	if ingester != nil {
-		fmt.Printf("capd: remote ingest on POST /ingest (≤%d reorder batches buffered)\n", *maxPending)
-	}
-	srv := &http.Server{
-		Handler: handler,
-		// Slow-loris protection: a client must finish its headers
-		// promptly and keep-alive connections cannot idle forever.
-		// WriteTimeout stays unset: /query legitimately streams for as
-		// long as the per-request context allows.
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := d.Serve(outer, daemon.Options{Registry: reg, Tracer: tracer}); err != nil {
 		fmt.Fprintln(os.Stderr, "capd:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "capd: shutdown:", err)
-			os.Exit(1)
-		}
-		final := store.Stats()
-		fmt.Printf("capd: drained and stopped (%d queries served, %d rows scanned, %d skipped by indexes)\n",
-			final.QueriesServed, final.RowsScanned, final.RowsSkipped)
 	}
+	final := store.Stats()
+	fmt.Printf("capd: drained and stopped (%d queries served, %d rows scanned, %d skipped by indexes)\n",
+		final.QueriesServed, final.RowsScanned, final.RowsSkipped)
 }

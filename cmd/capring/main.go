@@ -30,7 +30,7 @@
 // With -metrics, /metrics and /metrics.json expose the repl_* family
 // (per-node up/down gauges, handoff depth, repair volume, quorum
 // latency) outside the limiter, so the ring stays observable while it
-// is shedding.
+// is shedding; /debug/trace and /debug/pprof/ are mounted beside them.
 //
 // With -handoff-dir, hinted handoff is mirrored to a durable NDJSON
 // log per node (torn-tail repair-on-open); hints survive a capring
@@ -38,22 +38,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
 	"repro/internal/capstore/replica"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -96,7 +93,7 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables)")
 		nodeTO     = flag.Duration("node-timeout", 10*time.Second, "per-node HTTP call deadline")
 		quorumTO   = flag.Duration("quorum-timeout", 5*time.Second, "how long a push waits for its write quorum before 503")
-		metrics    = flag.Bool("metrics", false, "expose /metrics and /metrics.json (outside the limiter)")
+		metrics    = flag.Bool("metrics", false, "expose /metrics, /debug/trace and /debug/pprof (outside the limiter)")
 	)
 	flag.Parse()
 	if *nodesFlag == "" || *shards <= 0 {
@@ -138,13 +135,13 @@ func main() {
 	}
 	defer w.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("capring", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capring:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("capring: %d-node ring (R=%d, W=%d, seed %d, %d segments) on %s\n",
-		len(nodes), *replicas, *quorum, *seed, *shards, ln.Addr())
+	d.Announce("capring: %d-node ring (R=%d, W=%d, seed %d, %d segments)",
+		len(nodes), *replicas, *quorum, *seed, *shards)
 	for _, n := range nodes {
 		fmt.Printf("capring:   node %s at %s\n", n.Name, n.URL)
 	}
@@ -155,20 +152,10 @@ func main() {
 		Timeout:     *reqTimeout,
 	})
 	outer := http.NewServeMux()
-	// /healthz and the telemetry surface live outside the limiter:
-	// probes and scrapes must work exactly when the ring is shedding.
+	// /healthz lives outside the limiter, like the telemetry surface
+	// daemon.Serve mounts: probes and obsd scrapes must work exactly
+	// when the ring is shedding.
 	outer.Handle("/healthz", replica.HealthzHandler(w))
-	if reg != nil {
-		// The full capd-style debug surface: metrics, trace export, and
-		// pprof, all outside the limiter so obsd scrapes keep working
-		// while the ring sheds.
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/trace", debug)
-		outer.Handle("/debug/pprof/", debug)
-		fmt.Printf("capring: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof\n")
-	}
 	// POST /compact fans the pack-engine admin trigger out to every
 	// node — one call compacts the whole ring. Mounted outside the
 	// limiter like the other admin surfaces; per-node failures are
@@ -209,29 +196,10 @@ func main() {
 		json.NewEncoder(rw).Encode(map[string]any{"nodes": results}) //nolint:errcheck
 	})
 	outer.Handle("/", limiter.Wrap(replica.Handler(w)))
-	srv := &http.Server{
-		Handler: outer,
-		// WriteTimeout stays unset: /query legitimately streams for as
-		// long as the per-request context allows.
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := d.Serve(outer, daemon.Options{Registry: reg, Tracer: tracer}); err != nil {
 		fmt.Fprintln(os.Stderr, "capring:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "capring: shutdown:", err)
-			os.Exit(1)
-		}
-		st := w.Stats()
-		fmt.Printf("capring: drained and stopped (%d records committed, next seq %d)\n", st.Committed, st.NextSeq)
 	}
+	st := w.Stats()
+	fmt.Printf("capring: drained and stopped (%d records committed, next seq %d)\n", st.Committed, st.NextSeq)
 }

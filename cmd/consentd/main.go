@@ -38,16 +38,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/decision"
 	"repro/internal/gvl"
 	"repro/internal/obs"
@@ -101,52 +97,20 @@ func main() {
 		Tracer:         tracer,
 	})
 
-	var handler http.Handler = srv.Handler()
-	if *metrics {
-		outer := http.NewServeMux()
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		outer.Handle("/", handler)
-		handler = outer
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("consentd", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "consentd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("consentd: %d GVL versions (v%d–v%d) pre-resolved in %v; serving on %s\n",
-		nV, minV, maxV, time.Since(t0).Round(time.Millisecond), ln.Addr())
+	d.Announce("consentd: %d GVL versions (v%d–v%d) pre-resolved in %v; serving",
+		nV, minV, maxV, time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("consentd: endpoints /decide /v1/batch /v1/filter /healthz; ≤%d in flight, %v/request; cache %d strings.\n",
 		*maxInFly, *reqTimeout, *cacheCap)
-	if *metrics {
-		fmt.Printf("consentd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
-	}
-
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := d.Serve(srv.Handler(), daemon.Options{Registry: reg, Tracer: tracer}); err != nil {
 		fmt.Fprintln(os.Stderr, "consentd:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "consentd: shutdown:", err)
-			os.Exit(1)
-		}
-		st := srv.Cache().Stats()
-		fmt.Printf("consentd: drained and stopped (cache %d/%d entries, %.1f%% hit ratio, %d evictions)\n",
-			st.Size, st.Capacity, 100*st.HitRatio(), st.Evictions)
 	}
+	st := srv.Cache().Stats()
+	fmt.Printf("consentd: drained and stopped (cache %d/%d entries, %.1f%% hit ratio, %d evictions)\n",
+		st.Size, st.Capacity, 100*st.HitRatio(), st.Evictions)
 }

@@ -36,18 +36,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -141,34 +138,12 @@ func main() {
 		IngestURL:        *ingestURL,
 		ObsURL:           *obsURL,
 	}
-	handler := fleet.NewHandler(co, rc, fleet.ServerConfig{MaxInFlight: 2 * *maxLeases})
-	if *metrics {
-		outer := http.NewServeMux()
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		outer.Handle("/", handler)
-		handler = outer
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("fleetd", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("fleetd: serving /lease /heartbeat /complete /status /config on %s\n", ln.Addr())
-	if *metrics {
-		fmt.Printf("fleetd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
-	}
-
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
+	d.Announce("fleetd: serving /lease /heartbeat /complete /status /config")
 
 	// Sweep at half the TTL: expired leases reassign within one extra
 	// half-TTL at worst, and pending cursor skips retry on the same beat.
@@ -187,24 +162,31 @@ func main() {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	exitCode := 0
-	select {
-	case err := <-errc:
+	drained := false
+	err = d.Serve(fleet.NewHandler(co, rc, fleet.ServerConfig{MaxInFlight: 2 * *maxLeases}), daemon.Options{
+		Registry: reg,
+		Tracer:   tracer,
+		Done:     co.Done(),
+		Drain: func() {
+			drained = true
+			select {
+			case <-co.Done():
+			default:
+				// Early shutdown: drop unfinished work so the ledger
+				// still balances, then drain the server.
+				co.Abort()
+				exitCode = 1
+			}
+			<-sweepDone
+		},
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		// Early shutdown: drop unfinished work so the ledger still
-		// balances, then drain the server.
-		co.Abort()
-		exitCode = 1
-	case <-co.Done():
+		if !drained {
+			os.Exit(1)
+		}
 	}
-	<-sweepDone
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx) //nolint:errcheck
 
 	// fleetd is ephemeral from obsd's point of view: push the span
 	// export on the way out, where a scrape cadence would miss it.

@@ -28,21 +28,18 @@
 //	                            process (fleetd, crawl workers)
 //
 // With -metrics, /metrics and /metrics.json expose obsd's own
-// registry (scrape counters, trace-table state).
+// registry (scrape counters, trace-table state), beside /debug/pprof/
+// and an always-empty /debug/trace (obsd records no spans of its own).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/obs/agg"
 )
@@ -85,7 +82,7 @@ func main() {
 		targetsFlag = flag.String("targets", "", "comma-separated name=role=url scrape targets (required)")
 		interval    = flag.Duration("interval", 5*time.Second, "scrape interval")
 		addr        = flag.String("addr", "127.0.0.1:8670", "listen address")
-		metrics     = flag.Bool("metrics", false, "expose obsd's own /metrics and /metrics.json")
+		metrics     = flag.Bool("metrics", false, "expose obsd's own /metrics, /metrics.json and /debug endpoints")
 	)
 	flag.Var(&rules, "slo", "SLO rule (repeatable), e.g. name=p99,kind=latency,metric=ingest_seconds,threshold=0.5")
 	flag.Parse()
@@ -114,12 +111,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("obsd", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("obsd: aggregating %d targets every %v on %s\n", len(targets), *interval, ln.Addr())
+	d.Announce("obsd: aggregating %d targets every %v", len(targets), *interval)
 	for _, t := range targets {
 		fmt.Printf("obsd:   target %s (%s) at %s\n", t.Name, t.Role, t.URL)
 	}
@@ -129,42 +126,17 @@ func main() {
 	}
 	fmt.Printf("obsd: endpoints /cluster/metrics /cluster/traces /cluster/alerts /cluster/healthz /ingest/spans; Ctrl-C stops.\n")
 
-	mux := http.NewServeMux()
-	mux.Handle("/", agg.Handler(a))
-	if reg != nil {
-		debug := obs.Handler(reg, nil)
-		mux.Handle("/metrics", debug)
-		mux.Handle("/metrics.json", debug)
-		fmt.Printf("obsd: telemetry on /metrics, /metrics.json\n")
-	}
-
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() { defer close(scraped); a.Run(stop) }()
-
-	srv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	err = d.Serve(agg.Handler(a), daemon.Options{
+		Registry: reg,
+		Drain:    func() { close(stop); <-scraped },
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		close(stop)
-		<-scraped
-		shutdownCtx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "obsd: shutdown:", err)
-			os.Exit(1)
-		}
-		h := a.Health()
-		fmt.Printf("obsd: stopped (%d traces assembled, %d alerts firing)\n", h.Traces, h.AlertsFiring)
 	}
+	h := a.Health()
+	fmt.Printf("obsd: stopped (%d traces assembled, %d alerts firing)\n", h.Traces, h.AlertsFiring)
 }

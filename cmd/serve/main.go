@@ -15,19 +15,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/capture"
 	"repro/internal/cmps"
 	"repro/internal/consensu"
+	"repro/internal/daemon"
 	"repro/internal/detect"
 	"repro/internal/gvl"
 	"repro/internal/simtime"
@@ -51,39 +46,25 @@ func main() {
 	// GET /CookieAccess?user=… (the endpoint the paper queried).
 	server.EnableConsentEndpoints(consensu.NewStore())
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := daemon.Listen("serve", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("Serving the synthetic web (%d domains) on %s\n", *domains, ln.Addr())
+	d.Announce("Serving the synthetic web (%d domains)", *domains)
 
 	if *demo {
-		go http.Serve(ln, server) //nolint:errcheck // demo server dies with the process
-		runDemo(world, ln.Addr().String())
+		go d.Serve(server, daemon.Options{}) //nolint:errcheck // demo server dies with the process
+		runDemo(world, d.Addr().String())
 		return
 	}
 	fmt.Println("Route by Host header; simulation context via X-Sim-Day / X-Sim-Geo / X-Sim-Cloud.")
 	fmt.Println("Ctrl-C shuts down gracefully.")
-
-	srv := &http.Server{Handler: server}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := d.Serve(server, daemon.Options{}); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "serve: shutdown:", err)
-			os.Exit(1)
-		}
-		fmt.Println("serve: drained and stopped")
 	}
+	fmt.Println("serve: drained and stopped")
 }
 
 // runDemo crawls the most popular CMP-using sites over HTTP.

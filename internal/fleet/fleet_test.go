@@ -180,6 +180,30 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
+	// The doomed worker crashes on its first lease and never returns —
+	// the in-process stand-in for a SIGKILLed node. It starts alone: the
+	// healthy workers are released only once it holds a lease (its
+	// crash hook is consulted at "granted"), so they cannot drain the
+	// window before the chaos path runs, whatever the scheduler does.
+	doomed := newWorker("doomed")
+	var crashed atomic.Bool
+	leased := make(chan struct{})
+	var leasedOnce sync.Once
+	release := func() { leasedOnce.Do(func() { close(leased) }) }
+	doomed.crash = func(stage string, first int64) bool {
+		release()
+		return stage == crashStage && crashed.CompareAndSwap(false, true)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer release()
+		err := doomed.Run(ctx)
+		if err != nil && !errors.Is(err, ErrWorkerCrashed) && !errors.Is(err, context.Canceled) {
+			t.Errorf("doomed worker: %v", err)
+		}
+	}()
+	<-leased
 	for i := 0; i < n; i++ {
 		w := newWorker(fmt.Sprintf("worker-%d", i))
 		wg.Add(1)
@@ -190,21 +214,6 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 			}
 		}()
 	}
-	// The doomed worker crashes on its first lease and never returns —
-	// the in-process stand-in for a SIGKILLed node.
-	doomed := newWorker("doomed")
-	var crashed atomic.Bool
-	doomed.crash = func(stage string, first int64) bool {
-		return stage == crashStage && crashed.CompareAndSwap(false, true)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		err := doomed.Run(ctx)
-		if err != nil && !errors.Is(err, ErrWorkerCrashed) && !errors.Is(err, context.Canceled) {
-			t.Errorf("doomed worker: %v", err)
-		}
-	}()
 
 	select {
 	case <-co.Done():
